@@ -325,71 +325,72 @@ func run(cfg config) (result, error) {
 	return res, nil
 }
 
-// inProcess builds the daemon's serving stack in this process: both
-// simulated platforms on a shared metrics registry behind api.NewHandler,
-// or — with cfg.Platforms > 0 — a fleet of that many declarative tenant
-// specs, registered cold so instantiation cost lands on first request.
+// inProcess builds the daemon's serving stack in this process: the two
+// paper platforms (driven by their calibrated loads, or by a
+// workload-library scenario with -scenario) or — with cfg.Platforms > 0 —
+// a fleet of that many tenant specs, registered on a shared metrics
+// registry behind api.NewHandler. The two-platform stacks instantiate
+// eagerly, as predictd does, so warmup is paid before the run; the fleet
+// registers cold so instantiation cost lands on first request.
 func inProcess(cfg config) (*httptest.Server, error) {
+	specs, err := inProcessSpecs(cfg)
+	if err != nil {
+		return nil, err
+	}
 	metrics := obs.NewRegistry()
 	reg := predict.NewRegistryWith(predict.RegistryOptions{Metrics: metrics})
-	if cfg.Scenario != "" {
-		if cfg.Platforms > 0 {
-			return nil, fmt.Errorf("-scenario and -platforms are mutually exclusive")
+	for _, spec := range specs {
+		spec.DisableTickCache = cfg.NoCache
+		if err := reg.RegisterSpec(spec); err != nil {
+			return nil, err
 		}
+		if cfg.Platforms == 0 {
+			if _, err := reg.Lookup(spec.Name); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return httptest.NewServer(api.NewHandler(reg, api.Options{Metrics: metrics})), nil
+}
+
+// inProcessSpecs picks the platform specs the in-process server hosts.
+func inProcessSpecs(cfg config) ([]predict.PlatformSpec, error) {
+	switch {
+	case cfg.Platforms > 0 && cfg.Scenario != "":
+		return nil, fmt.Errorf("-scenario and -platforms are mutually exclusive")
+	case cfg.Platforms > 0:
+		return predict.FleetSpecs(cfg.Platforms, cfg.Seed), nil
+	case cfg.Scenario != "":
 		if _, ok := workload.Lookup(cfg.Scenario); !ok {
 			return nil, fmt.Errorf("unknown scenario %q (have %v)", cfg.Scenario, workload.Names())
 		}
-		// Keep the paper platform names so the worker routing is unchanged;
-		// only the load driving them comes from the scenario library.
-		for i, id := range []int{1, 2} {
-			spec := predict.PlatformSpec{
-				Name: fmt.Sprintf("platform%d", id),
+	}
+	specs := make([]predict.PlatformSpec, 2)
+	for i := range specs {
+		spec, err := predict.SimulatedSpec(i+1, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		if cfg.Scenario != "" {
+			// Keep the paper platform names so the worker routing is
+			// unchanged; only the load driving them comes from the library.
+			spec = predict.PlatformSpec{
+				Name: spec.Name,
 				Machines: []predict.MachineSpec{
 					{Name: "m0", Kind: "sparc5"},
 					{Name: "m1", Kind: "sparc10"},
 					{Name: "m2", Kind: "ultra"},
 					{Name: "m3", Kind: "ultra"},
 				},
-				CPU:              []predict.LoadSpec{{Kind: "scenario", Scenario: cfg.Scenario}},
-				Net:              &predict.LoadSpec{Kind: "ethernet-contention"},
-				Seed:             cfg.Seed + int64(i)*1013,
-				Warmup:           cfg.Warmup,
-				DisableTickCache: cfg.NoCache,
-			}
-			if err := reg.RegisterSpec(spec); err != nil {
-				return nil, err
+				CPU:  []predict.LoadSpec{{Kind: "scenario", Scenario: cfg.Scenario}},
+				Net:  &predict.LoadSpec{Kind: "ethernet-contention"},
+				Seed: cfg.Seed + int64(i)*1013,
 			}
 		}
-		return httptest.NewServer(api.NewHandler(reg, api.Options{Metrics: metrics})), nil
+		spec.Warmup = cfg.Warmup
+		specs[i] = spec
 	}
-	if cfg.Platforms > 0 {
-		for _, spec := range predict.FleetSpecs(cfg.Platforms, cfg.Seed) {
-			spec.DisableTickCache = cfg.NoCache
-			if err := reg.RegisterSpec(spec); err != nil {
-				return nil, err
-			}
-		}
-		return httptest.NewServer(api.NewHandler(reg, api.Options{Metrics: metrics})), nil
-	}
-	for _, id := range []int{1, 2} {
-		c, err := predict.SimulatedConfig(id, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		c.Metrics = metrics
-		c.DisableTickCache = cfg.NoCache
-		svc, err := predict.NewService(c)
-		if err != nil {
-			return nil, err
-		}
-		if err := svc.AdvanceTo(cfg.Warmup); err != nil {
-			return nil, err
-		}
-		if err := reg.Register(svc); err != nil {
-			return nil, err
-		}
-	}
-	return httptest.NewServer(api.NewHandler(reg, api.Options{Metrics: metrics})), nil
+	return specs, nil
 }
 
 func doPredict(client *http.Client, target, platform string, cfg config) (api.PredictResponse, float64, error) {

@@ -164,7 +164,7 @@ func platformFrom(r *http.Request) string {
 	return peek.Platform
 }
 
-// maxBodyBytes bounds a request body read into a pooled buffer.
+// maxBodyBytes bounds every POST body the handlers decode.
 const maxBodyBytes = 1 << 20
 
 // queryLevels parses the ?level= / ?levels= query parameters into central
@@ -192,24 +192,32 @@ func queryLevels(q url.Values) ([]float64, error) {
 	return out, nil
 }
 
-// readBody reads the whole request body into pb, growing as needed.
-func readBody(r *http.Request, pb *poolBuf) error {
+// decodeBody reads the whole request body, at most maxBodyBytes, into a
+// pooled buffer and decodes it into v with encoding/json. Every POST route
+// decodes through here, and every failure reads "bad request body: ...".
+func decodeBody(r *http.Request, v any) error {
+	in := getBuf()
+	defer in.release()
 	for {
-		if len(pb.b) == cap(pb.b) {
-			pb.b = append(pb.b, 0)[:len(pb.b)]
+		if len(in.b) == cap(in.b) {
+			in.b = append(in.b, 0)[:len(in.b)]
 		}
-		n, err := r.Body.Read(pb.b[len(pb.b):cap(pb.b)])
-		pb.b = pb.b[:len(pb.b)+n]
-		if len(pb.b) > maxBodyBytes {
-			return fmt.Errorf("request body exceeds %d bytes", maxBodyBytes)
+		n, err := r.Body.Read(in.b[len(in.b):cap(in.b)])
+		in.b = in.b[:len(in.b)+n]
+		if len(in.b) > maxBodyBytes {
+			return fmt.Errorf("bad request body: request body exceeds %d bytes", maxBodyBytes)
 		}
 		if err == io.EOF {
-			return nil
+			break
 		}
 		if err != nil {
-			return err
+			return fmt.Errorf("bad request body: %w", err)
 		}
 	}
+	if err := json.Unmarshal(in.b, v); err != nil {
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	return nil
 }
 
 // writeRaw sends a pre-encoded JSON payload.
@@ -220,21 +228,10 @@ func writeRaw(w http.ResponseWriter, status int, body []byte) {
 }
 
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	in := getBuf()
-	defer in.release()
-	if err := readBody(r, in); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	var pr PredictRequest
+	if err := decodeBody(r, &pr); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
-	}
-	pr, perr := parsePredictRequest(in.b)
-	if perr != nil {
-		// Fast parser bailed — let encoding/json either handle the exotic
-		// payload or produce the user-visible syntax error.
-		pr = PredictRequest{}
-		if err := json.Unmarshal(in.b, &pr); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
 	}
 	req, err := pr.ToRequest()
 	if err != nil {
@@ -276,21 +273,12 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 // fails only on a malformed envelope, an empty batch, or one above
 // MaxBatchSize.
 func (s *server) handleBatchPredict(w http.ResponseWriter, r *http.Request) {
-	in := getBuf()
-	defer in.release()
-	if err := readBody(r, in); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	var br BatchPredictRequest
+	if err := decodeBody(r, &br); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	items, perr := parseBatchRequest(in.b)
-	if perr != nil {
-		var br BatchPredictRequest
-		if err := json.Unmarshal(in.b, &br); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
-		items = br.Requests
-	}
+	items := br.Requests
 	if len(items) == 0 {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
 		return
@@ -387,19 +375,10 @@ func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	in := getBuf()
-	defer in.release()
-	if err := readBody(r, in); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	var or ObserveRequest
+	if err := decodeBody(r, &or); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
-	}
-	or, perr := parseObserveRequest(in.b)
-	if perr != nil {
-		or = ObserveRequest{}
-		if err := json.Unmarshal(in.b, &or); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
 	}
 	svc, err := s.reg.Lookup(or.Platform)
 	if err != nil {
@@ -470,16 +449,20 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	var ar AdvanceRequest
-	if err := json.NewDecoder(r.Body).Decode(&ar); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := decodeBody(r, &ar); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	if ar.Seconds <= 0 {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("seconds must be positive, got %g", ar.Seconds))
 		return
 	}
-	services := s.reg.Services()
-	if ar.Platform != "" {
+	// Only a fleet-wide advance lists the live services; a named one must
+	// not pay to build and sort the whole fleet.
+	var services []*predict.Service
+	if ar.Platform == "" {
+		services = s.reg.Services()
+	} else {
 		svc, err := s.reg.Lookup(ar.Platform)
 		if err != nil {
 			httpError(w, http.StatusNotFound, err)
@@ -522,8 +505,8 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // counted, not queued.
 func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	var sr ScheduleRequest
-	if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := decodeBody(r, &sr); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(sr.Jobs) == 0 {

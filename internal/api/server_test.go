@@ -439,3 +439,39 @@ func TestScheduleEndpoints(t *testing.T) {
 		t.Errorf("oversized schedule: status %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestPostBodiesBounded: every POST route decodes through one bounded
+// reader. A valid body padded with whitespace past maxBodyBytes is refused
+// on the cold routes too, and a malformed body is a 400 naming the body on
+// every route.
+func TestPostBodiesBounded(t *testing.T) {
+	ts, _, _ := newStack(t, Options{})
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e map[string]string
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e["error"]
+	}
+	pad := strings.Repeat(" ", maxBodyBytes)
+	for path, body := range map[string]string{
+		"/advance":  `{"platform":"platform1",` + pad + `"seconds":5}`,
+		"/schedule": `{"jobs":[{"n":100,"iterations":4}]` + pad + `}`,
+	} {
+		if code, msg := post(path, body); code != http.StatusBadRequest || !strings.Contains(msg, "bad request body") {
+			t.Errorf("%s padded past %d bytes: status %d %q, want 400 bad request body", path, maxBodyBytes, code, msg)
+		}
+	}
+	if code, _ := post("/advance", `{"platform":"platform1","seconds":5}`); code != http.StatusOK {
+		t.Errorf("/advance unpadded: status %d, want 200", code)
+	}
+	for _, path := range []string{"/predict", "/predict/batch", "/observe", "/advance", "/schedule"} {
+		if code, msg := post(path, `{"platform":`); code != http.StatusBadRequest || !strings.Contains(msg, "bad request body") {
+			t.Errorf("%s malformed: status %d %q, want 400 bad request body", path, code, msg)
+		}
+	}
+}

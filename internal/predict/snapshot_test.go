@@ -2,6 +2,7 @@ package predict_test
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -244,4 +245,56 @@ func TestReadSnapshotRejectsCorrupt(t *testing.T) {
 	if _, err := predict.ReadSnapshot(bytes.NewReader(append(append([]byte(nil), full...), 0xAA)), predict.RegistryOptions{}); err == nil {
 		t.Error("trailing bytes accepted")
 	}
+}
+
+// FuzzReadSnapshot holds the snapshot decoder — which reads untrusted
+// -restore images — to two properties: no input makes it panic, and any
+// image it accepts re-encodes through WriteSnapshot without error. Seeds
+// are a real two-tenant image (one live, one cold) and the corruptions
+// TestReadSnapshotRejectsCorrupt refuses.
+func FuzzReadSnapshot(f *testing.F) {
+	reg := predict.NewRegistry()
+	for _, spec := range predict.FleetSpecs(2, 5) {
+		if err := reg.RegisterSpec(spec); err != nil {
+			f.Fatal(err)
+		}
+	}
+	svc, err := reg.Lookup("tenant-0000")
+	if err != nil {
+		f.Fatal(err)
+	}
+	p, err := svc.Predict(predict.Request{N: 120, Iterations: 4, Levels: []float64{0.9}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := svc.Observe(p.ID, p.Value.Mean); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := svc.Predict(predict.Request{N: 200, Iterations: 6}); err != nil {
+		f.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := reg.WriteSnapshot(&snap); err != nil {
+		f.Fatal(err)
+	}
+	full := snap.Bytes()
+	mangled := append([]byte(nil), full...)
+	mangled[6] = 0xFF
+	f.Add(full)
+	f.Add([]byte("NOTASNAP"))
+	f.Add(full[:len(full)-3])
+	f.Add(mangled)
+	f.Add(append(append([]byte(nil), full...), 0xAA))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// One shard: the registry's hash ring is not under test, and
+		// building the default one dominates an execution.
+		back, err := predict.ReadSnapshot(bytes.NewReader(data), predict.RegistryOptions{Shards: 1})
+		if err != nil {
+			return
+		}
+		if err := back.WriteSnapshot(io.Discard); err != nil {
+			t.Fatalf("accepted image does not re-encode: %v", err)
+		}
+	})
 }

@@ -44,7 +44,8 @@ type PlatformSpec struct {
 	// derive theirs from it (Seed + machine index; Seed + 999 for Net).
 	Seed int64 `json:"seed"`
 	// Period is the sensor cadence in virtual seconds (nws.DefaultPeriod
-	// when 0); History the monitor ring size (512 when 0).
+	// when 0); History the monitor ring size (512 when 0, at most
+	// maxHistory).
 	Period  float64 `json:"period,omitempty"`
 	History int     `json:"history,omitempty"`
 	// Warmup is how many virtual seconds of measurements to take at
@@ -304,6 +305,11 @@ func (c *CalibrationSpec) config() calib.Config {
 	}
 }
 
+// maxHistory bounds a spec's monitor ring size. Specs arrive from -specs
+// files and snapshot images; an unbounded size would let one field
+// allocate without limit (or panic) at instantiation.
+const maxHistory = 1 << 16
+
 // Config materializes the spec into a service Config. It is side-effect
 // free and deterministic; errors name the offending field.
 func (ps *PlatformSpec) Config() (Config, error) {
@@ -315,6 +321,9 @@ func (ps *PlatformSpec) Config() (Config, error) {
 	}
 	if ps.Warmup < 0 {
 		return Config{}, fmt.Errorf("predict: spec %q has negative warmup %g", ps.Name, ps.Warmup)
+	}
+	if ps.History < 0 || ps.History > maxHistory {
+		return Config{}, fmt.Errorf("predict: spec %q history %d outside [0, %d]", ps.Name, ps.History, maxHistory)
 	}
 	machines := make([]cluster.Machine, len(ps.Machines))
 	for i, m := range ps.Machines {
@@ -495,9 +504,11 @@ func ParseSpecs(r io.Reader) ([]PlatformSpec, error) {
 }
 
 // SimulatedSpec returns the declarative spec for one of the paper's
-// evaluation platforms — the spec-form twin of SimulatedConfig, wiring the
-// same presets with the same derived seeds, so a service built from
-// SimulatedSpec is bit-identical to one built from SimulatedConfig.
+// evaluation platforms under its calibrated production load: Platform 1
+// with the center-mode load on the Sparc-2s and light load elsewhere
+// (§3.1), or Platform 2 with the 4-modal bursty load on every machine
+// (§3.2). Both run long-tailed ethernet contention on the shared link.
+// This is the only definition of the paper platforms.
 func SimulatedSpec(platform int, seed int64) (PlatformSpec, error) {
 	switch platform {
 	case 1:
@@ -537,6 +548,16 @@ func SimulatedSpec(platform int, seed int64) (PlatformSpec, error) {
 	default:
 		return PlatformSpec{}, fmt.Errorf("predict: unknown platform %d (want 1 or 2)", platform)
 	}
+}
+
+// SimulatedConfig is SimulatedSpec(platform, seed) materialized as a
+// service Config, for callers that build a Service directly.
+func SimulatedConfig(platform int, seed int64) (Config, error) {
+	spec, err := SimulatedSpec(platform, seed)
+	if err != nil {
+		return Config{}, err
+	}
+	return spec.Config()
 }
 
 // FleetSpecs generates n tenant specs ("tenant-0000"...) for fleet-scale

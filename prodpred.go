@@ -396,7 +396,7 @@ func NewPredictRegistry() *PredictRegistry { return predict.NewRegistry() }
 
 // SimulatedPredictConfig returns the canonical PredictConfig for the
 // paper's evaluation platforms (1 or 2) under their calibrated production
-// load shapes — the same construction cmd/sorpredict and cmd/predictd use.
+// load shapes, materialized from the declarative spec cmd/predictd serves.
 func SimulatedPredictConfig(platform int, seed int64) (PredictConfig, error) {
 	return predict.SimulatedConfig(platform, seed)
 }

@@ -55,9 +55,10 @@ rm -f "$tmptrace"
 go test -run 'TestFleetSchedQuantileWins$' -count=1 ./internal/experiments
 go test -run 'TestRunSchedSmoke' -count=1 ./cmd/loadtest
 
-# Fuzz smoke: a few seconds of coverage-guided input on the hand-rolled
-# JSON request parser — it must never diverge from the stdlib fallback.
-go test -run '^$' -fuzz FuzzCodecParsers -fuzztime 5s ./internal/api
+# Fuzz smoke: a few seconds of coverage-guided input on the snapshot
+# decoder, which reads untrusted -restore images — it must never panic, and
+# any image it accepts must re-encode.
+go test -run '^$' -fuzz FuzzReadSnapshot -fuzztime 5s ./internal/predict
 
 # Snapshot round-trip smoke over the real daemon binary: serve, snapshot,
 # kill, restore — the restored daemon must answer byte-identically to the
